@@ -20,7 +20,7 @@ from ..core.calibration import Calibration, calibrate
 from ..core.slowdown import SlowdownPredictor
 from ..runtime import serde, warmstore
 from ..runtime.executor import Executor
-from ..runtime.spec import RunSpec
+from ..runtime.spec import RunSpec, fingerprints
 from ..runtime.store import ResultStore
 from ..uarch.config import PlatformConfig, get_platform
 from ..uarch.interleave import Placement
@@ -266,16 +266,15 @@ class Lab:
         if not missing or store is None or \
                 self.executor.fault_plan is not None:
             return missing
-        fingerprints = {
-            index: RunSpec.from_machine(machine, workload,
-                                        placements[index]).fingerprint()
-            for index in missing}
-        found = store.get_many(sorted(set(fingerprints.values())))
+        keys_by_index = dict(zip(missing, fingerprints([
+            RunSpec.from_machine(machine, workload, placements[index])
+            for index in missing])))
+        found = store.get_many(sorted(set(keys_by_index.values())))
         if not found:
             return missing
         still: List[int] = []
         for index in missing:
-            payload = found.get(fingerprints[index])
+            payload = found.get(keys_by_index[index])
             if payload is None:
                 still.append(index)
             else:

@@ -215,6 +215,29 @@ class CounterSample:
             raise ValueError("a CounterSample must include CYCLES")
         self._values = clean
 
+    @classmethod
+    def unchecked(cls, values: Dict[Counter, float]) -> "CounterSample":
+        """Adopt ``values`` without per-value validation.
+
+        For producers that validated a whole batch at once (the PMU's
+        columnar emission): ``values`` must already be what
+        ``__init__`` would build - :class:`Counter` keys including
+        ``CYCLES``, finite non-negative Python floats - and is taken
+        over, not copied.
+        """
+        sample = cls.__new__(cls)
+        sample._values = values
+        return sample
+
+    # -- value semantics ---------------------------------------------------
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CounterSample):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._values.items()))
+
     # -- mapping protocol -------------------------------------------------
     def __getitem__(self, key) -> float:
         counter = key if isinstance(key, Counter) else Counter(key)

@@ -117,7 +117,7 @@ class ChaosReport:
 
 
 def _payloads(results) -> List[Dict]:
-    return [serde.run_result_to_dict(result) for result in results]
+    return serde.run_results_to_dicts(results)
 
 
 def _merge_counts(target: Dict[str, int],

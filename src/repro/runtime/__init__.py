@@ -29,7 +29,8 @@ from .errors import (RetryPolicy, StoreError, TaskTimeoutError,
                      TransientTaskError, WorkerCrashError)
 from .executor import Executor, default_jobs, execute_run_spec
 from .spec import (CACHE_SCHEMA_VERSION, CalibrationSpec, RunSpec,
-                   canonical_json, code_version, fingerprint)
+                   canonical_json, code_version, fingerprint,
+                   fingerprints)
 from .store import (LegacyJsonStore, ResultStore, StoreStats,
                     default_cache_dir)
 from .telemetry import ProgressReporter, Telemetry
@@ -55,4 +56,5 @@ __all__ = [
     "default_jobs",
     "execute_run_spec",
     "fingerprint",
+    "fingerprints",
 ]

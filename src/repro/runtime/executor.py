@@ -17,10 +17,12 @@ It layers three caches and one pool:
    picklable, serially otherwise (``-j 1``, single-item batches, or
    any pool failure fall back transparently).
 
-Results always return in input order, independent of completion order,
-and every result - hit or miss, serial or parallel - passes through the
-same JSON round-trip (:mod:`repro.runtime.serde`), which is what makes
-``-j 1`` and ``-j 4`` outputs byte-identical, cold and warm.
+Results always return in input order, independent of completion order.
+Every payload - memo hit, store hit or pool result - decodes through
+the same lossless round trip (:mod:`repro.runtime.serde`); a lane the
+serial batch solver has just produced is returned as solved, since
+decoding its own encoding would give an equal result.  That is what
+makes ``-j 1`` and ``-j 4`` outputs byte-identical, cold and warm.
 
 Failure handling follows the taxonomy of :mod:`repro.runtime.errors`
 (full story: ``docs/FAULTS.md``):
@@ -55,7 +57,7 @@ from ..uarch.machine import Machine, RunResult
 from . import serde
 from .errors import (RetryPolicy, TaskTimeoutError, TransientTaskError,
                      WorkerCrashError)
-from .spec import RunSpec
+from .spec import RunSpec, fingerprints
 from .store import ResultStore
 from .telemetry import ProgressReporter, Telemetry
 
@@ -129,8 +131,8 @@ def _batch_execute(chunk: List[Tuple[int, RunSpec]]
     """
     if len(chunk) >= MIN_BATCH_GROUP:
         results = Machine.run_batch_multi([spec for _, spec in chunk])
-        return [(index, serde.run_result_to_dict(result))
-                for (index, _), result in zip(chunk, results)]
+        return [(index, payload) for (index, _), payload in zip(
+            chunk, serde.run_results_to_dicts(results))]
     return [(index, execute_run_spec(spec)) for index, spec in chunk]
 
 
@@ -402,7 +404,7 @@ class Executor:
         reporter = ProgressReporter(len(specs), label=label,
                                     enabled=self.progress)
         with self.telemetry.stage("hash"):
-            keys = [spec.fingerprint() for spec in specs]
+            keys = fingerprints(specs)
 
         payloads: List[Optional[Dict[str, Any]]] = []
         pending: List[Tuple[int, RunSpec]] = []
@@ -439,14 +441,18 @@ class Executor:
                                  aliases=self.alias_count,
                                  misses=len(pending))
 
+        # Lanes the serial batch solver produced in this call: returned
+        # as solved instead of decoded from their own payloads.
+        solved: Dict[int, RunResult] = {}
         if pending:
             with self.telemetry.stage("simulate", pending=len(pending)):
                 fresh: List[Tuple[str, Dict[str, Any]]] = []
-                for index, payload in self._execute_pending(pending,
-                                                            reporter):
-                    payloads[index] = payload
-                    for duplicate in aliases[keys[index]]:
-                        payloads[duplicate] = payload
+                for index, payload, result in self._execute_pending(
+                        pending, reporter):
+                    for lane in [index] + aliases[keys[index]]:
+                        payloads[lane] = payload
+                        if result is not None:
+                            solved[lane] = result
                     self._memo[keys[index]] = payload
                     fresh.append((keys[index], payload))
                     if len(fresh) >= COMMIT_CHUNK:
@@ -455,9 +461,10 @@ class Executor:
                 self._commit_many(fresh)
         reporter.finish()
 
-        with self.telemetry.stage("decode"):
-            results = [serde.run_result_from_dict(payload)
-                       for payload in payloads]
+        with self.telemetry.stage("decode", solved=len(solved)):
+            results = [solved[index] if index in solved
+                       else serde.run_result_from_dict(payload)
+                       for index, payload in enumerate(payloads)]
             # Surface solver-cap exhaustion (docs/SOLVER.md): a result
             # whose fixed point hit the iteration cap is still returned,
             # but never silently.
@@ -468,7 +475,11 @@ class Executor:
 
     def _execute_pending(self, pending: List[Tuple[int, RunSpec]],
                          reporter: ProgressReporter):
-        """Yield ``(index, payload)`` as work completes.
+        """Yield ``(index, payload, result)`` as work completes.
+
+        ``result`` is the solved :class:`RunResult` on the serial batch
+        path and ``None`` wherever only the payload exists (pool
+        workers, the per-task loop).
 
         The pool path may die mid-stream (worker crash, hang past
         ``task_timeout``); completed indices are tracked so the serial
@@ -483,7 +494,7 @@ class Executor:
                 for index, payload in self._execute_pool(pending, workers,
                                                          reporter):
                     completed.add(index)
-                    yield index, payload
+                    yield index, payload, None
                 return
             except WorkerCrashError:
                 # Infrastructure failure only (dead worker, hung pool,
@@ -511,7 +522,7 @@ class Executor:
                     spec, index, attempt=1 if fell_back else 0)
             reporter.update(hits=self.hit_count,
                             misses=self.miss_count)
-            yield index, payload
+            yield index, payload, None
 
     def _execute_serial_batch(self, pending: List[Tuple[int, RunSpec]],
                               reporter: ProgressReporter):
@@ -537,11 +548,11 @@ class Executor:
                                   worker="serial"):
             results = Machine.run_batch_multi(specs)
         self.telemetry.count("batched_solves")
-        for (index, _), result in zip(pending, results):
-            payload = serde.run_result_to_dict(result)
+        payloads = serde.run_results_to_dicts(results)
+        for (index, _), payload, result in zip(pending, payloads, results):
             reporter.update(hits=self.hit_count,
                             misses=self.miss_count)
-            yield index, payload
+            yield index, payload, result
 
     def _execute_serial_task(self, spec: RunSpec, index: int,
                              attempt: int = 0) -> Dict[str, Any]:

@@ -21,8 +21,9 @@ fingerprints are a public contract.
 from __future__ import annotations
 
 import marshal
-from dataclasses import asdict
-from typing import Any, Dict, Optional
+from dataclasses import fields
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.calibration import Calibration
 from ..core.counters import Counter, CounterSample, ProfiledRun
@@ -77,8 +78,32 @@ def payload_from_bytes(raw: bytes) -> Dict[str, Any]:
 # Configuration objects.
 # ---------------------------------------------------------------------------
 
+def _field_reader(cls: type) -> Callable[[Any], Dict[str, Any]]:
+    """A flat ``dataclasses.asdict`` for ``cls``: field order, new dict.
+
+    ``asdict`` deep-copies every value on a recursive walk; for the
+    scalar (float/int/str/bool/None) fields these dataclasses hold, the
+    copy is the value itself, so reading the fields directly gives an
+    equal dict - same keys, same order, same objects - at a fraction of
+    the cost.  Nested fields (a platform's DRAM device, a workload's
+    tags) are converted by the callers below.
+    """
+    names = tuple(f.name for f in fields(cls))
+    read = attrgetter(*names)
+    return lambda obj: dict(zip(names, read(obj)))
+
+
+_device_fields = _field_reader(MemoryDeviceConfig)
+_platform_fields = _field_reader(PlatformConfig)
+_workload_fields = _field_reader(WorkloadSpec)
+_placement_fields = _field_reader(Placement)
+_breakdown_fields = _field_reader(CycleBreakdown)
+_demand_fields = _field_reader(DemandProfile)
+_prefetch_fields = _field_reader(PrefetchProfile)
+
+
 def device_to_dict(device: MemoryDeviceConfig) -> Dict[str, Any]:
-    return asdict(device)
+    return _device_fields(device)
 
 
 def device_from_dict(data: Dict[str, Any]) -> MemoryDeviceConfig:
@@ -86,7 +111,9 @@ def device_from_dict(data: Dict[str, Any]) -> MemoryDeviceConfig:
 
 
 def platform_to_dict(platform: PlatformConfig) -> Dict[str, Any]:
-    return asdict(platform)
+    data = _platform_fields(platform)
+    data["dram"] = device_to_dict(platform.dram)
+    return data
 
 
 def platform_from_dict(data: Dict[str, Any]) -> PlatformConfig:
@@ -96,7 +123,7 @@ def platform_from_dict(data: Dict[str, Any]) -> PlatformConfig:
 
 
 def workload_to_dict(workload: WorkloadSpec) -> Dict[str, Any]:
-    data = asdict(workload)
+    data = _workload_fields(workload)
     data["tags"] = list(workload.tags)
     return data
 
@@ -108,7 +135,7 @@ def workload_from_dict(data: Dict[str, Any]) -> WorkloadSpec:
 
 
 def placement_to_dict(placement: Placement) -> Dict[str, Any]:
-    return asdict(placement)
+    return _placement_fields(placement)
 
 
 def placement_from_dict(data: Dict[str, Any]) -> Placement:
@@ -119,13 +146,23 @@ def placement_from_dict(data: Dict[str, Any]) -> Placement:
 # Counter samples and profiled runs.
 # ---------------------------------------------------------------------------
 
+#: Counter member <-> id string, as dict lookups: reading an enum
+#: member's ``value`` or calling ``Counter(id)`` costs far more, 21
+#: times per payload.
+_COUNTER_IDS = {counter: counter.value for counter in Counter}
+_COUNTERS_BY_ID = {counter.value: counter for counter in Counter}
+
+
 def sample_to_dict(sample: CounterSample) -> Dict[str, float]:
-    return {counter.value: value for counter, value in sample.items()}
+    ids = _COUNTER_IDS
+    return {ids[counter]: value for counter, value in sample.items()}
 
 
 def sample_from_dict(data: Dict[str, float]) -> CounterSample:
-    return CounterSample({Counter(key): value
-                          for key, value in data.items()})
+    by_id = _COUNTERS_BY_ID
+    # Unknown ids fall through to ``Counter(key)``'s ValueError.
+    return CounterSample({by_id[key] if key in by_id else Counter(key):
+                          value for key, value in data.items()})
 
 
 def profiled_run_to_dict(run: ProfiledRun) -> Dict[str, Any]:
@@ -158,26 +195,54 @@ def profiled_run_from_dict(data: Dict[str, Any]) -> ProfiledRun:
 # ---------------------------------------------------------------------------
 
 def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
-    return {
-        "workload": workload_to_dict(result.workload),
-        "placement": placement_to_dict(result.placement),
-        "platform": platform_to_dict(result.platform),
-        "breakdown": asdict(result.breakdown),
-        "demand": asdict(result.demand),
-        "prefetch": asdict(result.prefetch),
-        "counters": sample_to_dict(result.counters),
-        "observed_read_ns": result.observed_read_ns,
-        "tier_read_ns": result.tier_read_ns,
-        "rfo_ns": result.rfo_ns,
-        "dram_latency_ns": result.dram_latency_ns,
-        "slow_latency_ns": result.slow_latency_ns,
-        "dram_gbps": result.dram_gbps,
-        "slow_gbps": result.slow_gbps,
-        "dram_utilization": result.dram_utilization,
-        "slow_utilization": result.slow_utilization,
-        "runtime_s": result.runtime_s,
-        "converged": result.converged,
-    }
+    return run_results_to_dicts([result])[0]
+
+
+def run_results_to_dicts(results: Sequence[RunResult]
+                         ) -> List[Dict[str, Any]]:
+    """``[run_result_to_dict(result) for result in results]``, faster.
+
+    A population shares a few workload and platform objects across
+    many results; each distinct one is flattened once per call (keyed
+    by identity, as in :func:`repro.runtime.spec.fingerprints`) and
+    every payload then gets its *own* copy of the flattened dict, so
+    no two payloads - which live on as memo entries - alias.  The list
+    of results keeps every keyed object alive for the call.
+    """
+    results = list(results)
+    workloads: Dict[int, Dict[str, Any]] = {}
+    platforms: Dict[int, Dict[str, Any]] = {}
+    payloads = []
+    for result in results:
+        workload = workloads.get(id(result.workload))
+        if workload is None:
+            workload = workloads[id(result.workload)] = \
+                workload_to_dict(result.workload)
+        platform = platforms.get(id(result.platform))
+        if platform is None:
+            platform = platforms[id(result.platform)] = \
+                platform_to_dict(result.platform)
+        payloads.append({
+            "workload": {**workload, "tags": list(workload["tags"])},
+            "placement": placement_to_dict(result.placement),
+            "platform": {**platform, "dram": dict(platform["dram"])},
+            "breakdown": _breakdown_fields(result.breakdown),
+            "demand": _demand_fields(result.demand),
+            "prefetch": _prefetch_fields(result.prefetch),
+            "counters": sample_to_dict(result.counters),
+            "observed_read_ns": result.observed_read_ns,
+            "tier_read_ns": result.tier_read_ns,
+            "rfo_ns": result.rfo_ns,
+            "dram_latency_ns": result.dram_latency_ns,
+            "slow_latency_ns": result.slow_latency_ns,
+            "dram_gbps": result.dram_gbps,
+            "slow_gbps": result.slow_gbps,
+            "dram_utilization": result.dram_utilization,
+            "slow_utilization": result.slow_utilization,
+            "runtime_s": result.runtime_s,
+            "converged": result.converged,
+        })
+    return payloads
 
 
 def run_result_from_dict(data: Dict[str, Any]) -> RunResult:

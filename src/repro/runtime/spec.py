@@ -24,6 +24,11 @@ Cache-key recipe (documented in ``docs/RUNTIME.md``):
 Any field change - a different device, thread count, queue knee, noise
 level - therefore yields a different key, while re-describing the same
 run always finds the same entry.
+
+Every run-spec key, :meth:`RunSpec.fingerprint` included, is built by
+:func:`fingerprints`, which writes the same bytes from per-call
+fragments without rebuilding the shared config dicts once per spec.
+:meth:`RunSpec.key_material` stays the reference it must match.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..uarch.config import MemoryDeviceConfig, PlatformConfig
 from ..uarch.interleave import Placement
@@ -119,7 +124,10 @@ class RunSpec:
         }
 
     def fingerprint(self) -> str:
-        return fingerprint(self.key_material())
+        # Every run key comes from the one builder below; the reference
+        # recipe ``fingerprint(self.key_material())`` gives the same
+        # bytes (pinned by tests/test_runtime_spec.py).
+        return fingerprints([self])[0]
 
     def execute(self) -> RunResult:
         """Run the simulation this spec describes (pure, in-process)."""
@@ -167,3 +175,54 @@ class CalibrationSpec:
 
     def fingerprint(self) -> str:
         return fingerprint(self.key_material())
+
+
+def fingerprints(specs: Sequence[RunSpec]) -> List[str]:
+    """The cache key of each run spec: ``fingerprint(key_material())``.
+
+    A population repeats a few workload, platform and device objects
+    across many specs, and flattening them dominates the per-spec key
+    cost.  ``json.dumps(sort_keys=True)`` writes a nested dict exactly
+    as it writes that dict alone, so each key string is assembled from
+    canonical-JSON fragments in :meth:`RunSpec.key_material`'s sorted
+    key order, and every distinct object is serialized once per call.
+
+    Fragments are keyed by object identity, never by equality: ``1 ==
+    1.0`` and ``0.0 == -0.0``, so equal specs can still serialize (and
+    hash) differently.  The table lives for this call only - the list
+    of specs keeps every keyed object alive, so no id is reused within
+    it - and nothing accumulates across calls.
+    """
+    specs = list(specs)
+    version = canonical_json(code_version())
+    # One table per key field: identity -> canonical-JSON fragment.
+    tables: Dict[str, Dict[int, str]] = {}
+
+    def fragment(field: str, obj: Any,
+                 to_dict: Callable[[Any], Any] = lambda value: value
+                 ) -> str:
+        table = tables.setdefault(field, {})
+        text = table.get(id(obj))
+        if text is None:
+            text = table[id(obj)] = canonical_json(to_dict(obj))
+        return text
+
+    keys = []
+    for spec in specs:
+        material = (
+            '{"kind":"run","noise":%s,"placement":%s,"platform":%s,'
+            '"seed":%s,"slow_device":%s,"version":%s,"workload":%s}' % (
+                fragment("noise", spec.noise),
+                fragment("placement", spec.placement,
+                         serde.placement_to_dict),
+                fragment("platform", spec.platform,
+                         serde.platform_to_dict),
+                fragment("seed", spec.seed),
+                ("null" if spec.slow_device is None else
+                 fragment("slow_device", spec.slow_device,
+                          serde.device_to_dict)),
+                version,
+                fragment("workload", spec.workload,
+                         serde.workload_to_dict)))
+        keys.append(hashlib.sha256(material.encode()).hexdigest())
+    return keys

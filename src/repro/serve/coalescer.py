@@ -370,8 +370,8 @@ class QueryCoalescer:
         self._count("batches_solved")
         self._count("lanes_solved", len(lanes))
         answers: Dict[str, Dict[str, Any]] = {}
-        for (key, _spec), result in zip(lanes, results):
-            payload = serde.run_result_to_dict(result)
+        for (key, _spec), payload in zip(
+                lanes, serde.run_results_to_dicts(results)):
             answers[key] = payload
             if replay:
                 self._persist(key, payload)

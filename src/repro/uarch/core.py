@@ -387,23 +387,6 @@ class BatchCycleBreakdown:
     exposure_effective: np.ndarray
     converged: np.ndarray
 
-    def element(self, index: int) -> CycleBreakdown:
-        """Materialize one lane as a scalar :class:`CycleBreakdown`."""
-        return CycleBreakdown(
-            cycles=float(self.cycles[index]),
-            base_cycles=float(self.base_cycles[index]),
-            s_llc=float(self.s_llc[index]),
-            s_cache=float(self.s_cache[index]),
-            s_l2_hit=float(self.s_l2_hit[index]),
-            s_l3_hit=float(self.s_l3_hit[index]),
-            s_sb=float(self.s_sb[index]),
-            memory_active=float(self.memory_active[index]),
-            mlp_effective=float(self.mlp_effective[index]),
-            pf_l1_inflight=float(self.pf_l1_inflight[index]),
-            exposure_effective=float(self.exposure_effective[index]),
-            converged=bool(self.converged[index]),
-        )
-
 
 def exposure_corrections_batch(burstiness: np.ndarray, mlp_eff: np.ndarray,
                                observed_read_ns: np.ndarray,

@@ -45,7 +45,7 @@ from .memory import (MAX_ESCALATION, DeviceLanes, TierLoad,
                      rfo_latency_ns_batch, updated_escalation,
                      updated_escalation_batch, utilization_for_bandwidth,
                      utilization_for_bandwidth_batch)
-from .pmu import DEFAULT_NOISE, emit_counters
+from .pmu import DEFAULT_NOISE, emit_counters, emit_counters_batch
 from .prefetcher import (BatchPrefetchFlow, PrefetchProfile,
                          prefetch_profile, prefetch_profile_batch)
 
@@ -59,6 +59,15 @@ DEMAND_WRITEBACK_RATIO = 0.10
 _MAX_OUTER_ITERATIONS = 600
 _OUTER_TOLERANCE = 1e-9
 _OUTER_DAMPING = 0.35
+
+#: Narrowest batch whose counters are emitted column-wise
+#: (:func:`~repro.uarch.pmu.emit_counters_batch`); narrower batches -
+#: the prediction server's coalesced requests - call the scalar
+#: :func:`~repro.uarch.pmu.emit_counters` per lane.  Both give the same
+#: bits.  Measured crossover (docs/SOLVER.md): columnar emission costs
+#: about 1.8x scalar at 1 lane and 1.3x at 2, and is first no slower at
+#: 6 lanes when no two lanes share a noise row.
+COLUMNAR_EMIT_MIN_LANES = 6
 
 #: Documented relative tolerance of *accelerated* (Anderson/warm-started)
 #: solves against the plain damped fixed point (docs/SOLVER.md).  The
@@ -332,6 +341,18 @@ def _merge_lanes(new, old, mask: np.ndarray):
     return type(new)(**{
         f.name: np.where(mask, getattr(new, f.name), getattr(old, f.name))
         for f in dataclasses.fields(new)})
+
+
+def _lane_records(cls, struct) -> list:
+    """One scalar ``cls`` record per lane of a struct-of-arrays.
+
+    Columns are read by ``cls``'s field names and converted with one
+    ``tolist`` each, which yields the same Python floats/bools as
+    ``float(column[i])``/``bool(column[i])`` lane by lane.
+    """
+    names = [f.name for f in dataclasses.fields(cls)]
+    columns = [getattr(struct, name).tolist() for name in names]
+    return [cls(*values) for values in zip(*columns)]
 
 
 @dataclass
@@ -1215,54 +1236,59 @@ class Machine:
             problem.slow_lanes,
             solution.slow_gbps + problem.slow_external_gbps)
 
-        flow = solution.flow
+        breakdowns = _lane_records(CycleBreakdown, solution.breakdown)
+        prefetches = _lane_records(PrefetchProfile, solution.flow)
+        labels = [placement.describe() for placement in problem.placements]
+        if problem.size >= COLUMNAR_EMIT_MIN_LANES:
+            counters = emit_counters_batch(
+                problem.workloads, problem.platforms, problem.demands,
+                solution.flow, solution.breakdown, labels,
+                problem.noises, problem.seeds)
+        else:
+            counters = [
+                emit_counters(workload, platform, demand, prefetch,
+                              breakdown, label, noise=noise, seed=seed)
+                for (workload, platform, demand, prefetch, breakdown, label,
+                     noise, seed) in zip(
+                    problem.workloads, problem.platforms, problem.demands,
+                    prefetches, breakdowns, labels, problem.noises,
+                    problem.seeds)]
+        # One ``tolist`` per column gives the Python floats/bools that
+        # ``float(array[i])`` would, without a numpy scalar per field.
+        observed, tier_read, rfo = (observed.tolist(), tier_read.tolist(),
+                                    rfo.tolist())
+        dram_latency_ns = solution.dram_latency_ns.tolist()
+        slow_latency_ns = solution.slow_latency_ns.tolist()
+        dram_gbps = solution.dram_gbps.tolist()
+        slow_gbps = solution.slow_gbps.tolist()
+        dram_util, slow_util = dram_util.tolist(), slow_util.tolist()
+        runtime_s = runtime_s.tolist()
+        converged = solution.converged.tolist()
+        has_slow = problem.has_slow.tolist()
+
         results: List[RunResult] = []
         for i in range(problem.size):
-            workload = problem.workloads[i]
-            placement = problem.placements[i]
-            demand = problem.demands[i]
-            breakdown = solution.breakdown.element(i)
-            prefetch = PrefetchProfile(
-                covered=float(flow.covered[i]),
-                demand_mem_reads=float(flow.demand_mem_reads[i]),
-                pf_mem_reads=float(flow.pf_mem_reads[i]),
-                pf_l1_mem=float(flow.pf_l1_mem[i]),
-                pf_l2_mem=float(flow.pf_l2_mem[i]),
-                pf_l1_any=float(flow.pf_l1_any[i]),
-                pf_l1_l3_hit=float(flow.pf_l1_l3_hit[i]),
-                pf_l2_any=float(flow.pf_l2_any[i]),
-                pf_l2_l3_hit=float(flow.pf_l2_l3_hit[i]),
-                late_wait_ns=float(flow.late_wait_ns[i]),
-                late_fraction=float(flow.late_fraction[i]),
-            )
-            tier_label = placement.describe()
-            counters = emit_counters(
-                workload, problem.platforms[i], demand, prefetch,
-                breakdown, tier_label, noise=problem.noises[i],
-                seed=problem.seeds[i])
-            has_slow = bool(problem.has_slow[i])
+            breakdown = breakdowns[i]
             results.append(RunResult(
-                workload=workload,
-                placement=placement,
+                workload=problem.workloads[i],
+                placement=problem.placements[i],
                 platform=problem.platforms[i],
                 breakdown=breakdown,
-                demand=demand,
-                prefetch=prefetch,
-                counters=counters,
-                observed_read_ns=float(observed[i]),
-                tier_read_ns=float(tier_read[i]),
-                rfo_ns=float(rfo[i]),
-                dram_latency_ns=float(solution.dram_latency_ns[i]),
-                slow_latency_ns=(float(solution.slow_latency_ns[i])
-                                 if has_slow else None),
-                dram_gbps=float(solution.dram_gbps[i]),
-                slow_gbps=float(solution.slow_gbps[i]),
-                dram_utilization=float(dram_util[i]),
-                slow_utilization=(float(slow_util[i]) if has_slow
-                                  else 0.0),
-                runtime_s=float(runtime_s[i]),
-                converged=bool(solution.converged[i]) and
-                breakdown.converged,
+                demand=problem.demands[i],
+                prefetch=prefetches[i],
+                counters=counters[i],
+                observed_read_ns=observed[i],
+                tier_read_ns=tier_read[i],
+                rfo_ns=rfo[i],
+                dram_latency_ns=dram_latency_ns[i],
+                slow_latency_ns=(slow_latency_ns[i] if has_slow[i]
+                                 else None),
+                dram_gbps=dram_gbps[i],
+                slow_gbps=slow_gbps[i],
+                dram_utilization=dram_util[i],
+                slow_utilization=slow_util[i] if has_slow[i] else 0.0,
+                runtime_s=runtime_s[i],
+                converged=converged[i] and breakdown.converged,
             ))
         return results
 

@@ -10,10 +10,11 @@ and batches reassemble in input order.
 import pytest
 
 from repro.cli import main
-from repro.runtime.executor import Executor, default_jobs
+from repro.runtime import serde
+from repro.runtime.executor import MIN_BATCH_GROUP, Executor, default_jobs
 from repro.runtime.spec import RunSpec
 from repro.runtime.store import ResultStore
-from repro.uarch import Machine, Placement, SKX2S
+from repro.uarch import Machine, Placement, SKX2S, SPR2S
 from repro.workloads import get_workload
 
 WORKLOADS = ("605.mcf", "557.xz", "603.bwaves", "619.lbm", "gpt-2")
@@ -69,6 +70,52 @@ class TestEquivalence:
             store=ResultStore(tmp_path / "c")).run_one(spec)
         assert cached.cycles == direct.cycles
         assert cached.counters.as_dict() == direct.counters.as_dict()
+
+
+def batch_specs():
+    """Enough lanes (two machines, mixed placements, one in-batch
+    duplicate) for the serial batch-solver path."""
+    specs = specs_for(Machine(SKX2S)) + specs_for(Machine(SPR2S, seed=3))
+    return specs + specs[:1]
+
+
+class TestFreshBatchResults:
+    """Lanes the serial batch solver just produced are returned as
+    solved; they equal, value for value, every decoded path."""
+
+    def test_fresh_equals_store_decoded_and_pool(self, tmp_path):
+        specs = batch_specs()
+        assert len(specs) - 1 >= MIN_BATCH_GROUP
+        store = ResultStore(tmp_path / "c")
+        fresh = Executor(jobs=1, store=store).run(specs)
+        decoded = Executor(jobs=1, store=store).run(specs)
+        pooled = Executor(jobs=2).run(specs)
+        assert fresh == decoded
+        assert fresh == pooled
+        assert [serde.run_result_to_dict(r) for r in fresh] == \
+            [serde.run_result_to_dict(r) for r in pooled]
+
+    def test_cold_serial_batch_decodes_nothing(self, tmp_path,
+                                               monkeypatch):
+        decodes = []
+        real = serde.run_result_from_dict
+
+        def counting(data):
+            decodes.append(data)
+            return real(data)
+
+        monkeypatch.setattr(serde, "run_result_from_dict", counting)
+        specs = batch_specs()
+        executor = Executor(jobs=1, store=ResultStore(tmp_path / "c"))
+        results = executor.run(specs)
+        assert executor.telemetry.counters["batched_solves"] == 1
+        assert executor.miss_count == len(specs) - 1
+        assert decodes == []
+        # The in-batch duplicate shares its twin's solved result.
+        assert results[-1] == results[0]
+        # A repeat is a memo hit, and memo payloads are decoded.
+        executor.run(specs[:2])
+        assert len(decodes) == 2
 
 
 class TestCacheAccounting:

@@ -14,9 +14,11 @@ import pytest
 
 from repro.runtime import serde
 from repro.runtime.spec import (CalibrationSpec, RunSpec, canonical_json,
-                                code_version, fingerprint)
+                                code_version, fingerprint, fingerprints)
 from repro.uarch import CXL_A, Machine, Placement, SKX2S, SPR2S
+from repro.uarch.config import get_platform
 from repro.workloads import get_workload
+from repro.workloads.suites import evaluation_suite
 
 
 def spec_for(machine=None, name="605.mcf", placement=None) -> RunSpec:
@@ -187,3 +189,159 @@ class TestSpecExecution:
         assert decoded.counters.as_dict() == result.counters.as_dict()
         assert decoded.profiled().sample.as_dict() == \
             result.profiled().sample.as_dict()
+
+    def test_decoded_result_equals_the_original(self):
+        # CounterSample compares by value, so RunResult == does too.
+        result = spec_for().execute()
+        decoded = serde.run_result_from_dict(
+            serde.run_result_to_dict(result))
+        assert decoded == result
+        assert hash(decoded) == hash(result)
+        assert decoded.counters is not result.counters
+        assert decoded != spec_for(name="557.xz").execute()
+
+    def test_field_readers_equal_asdict(self):
+        # The flat readers replace dataclasses.asdict: same keys, same
+        # order, same values, for every flattened config and record.
+        result = spec_for(Machine(SPR2S)).execute()
+        expected = {"workload": dataclasses.asdict(result.workload),
+                    "placement": dataclasses.asdict(result.placement),
+                    "platform": dataclasses.asdict(result.platform),
+                    "breakdown": dataclasses.asdict(result.breakdown),
+                    "demand": dataclasses.asdict(result.demand),
+                    "prefetch": dataclasses.asdict(result.prefetch)}
+        expected["workload"]["tags"] = list(result.workload.tags)
+        payload = serde.run_result_to_dict(result)
+        for name, data in expected.items():
+            assert list(payload[name].items()) == list(data.items()), name
+        assert (list(payload["platform"]["dram"].items()) ==
+                list(expected["platform"]["dram"].items()))
+
+    def test_batch_payloads_do_not_alias(self):
+        machine = Machine(SKX2S)
+        workload = get_workload("605.mcf")
+        results = [RunSpec.from_machine(machine, workload,
+                                        placement).execute()
+                   for placement in (Placement.dram_only(),
+                                     Placement.slow_only("cxl-a"))]
+        first, second = serde.run_results_to_dicts(results)
+        assert first["workload"] == second["workload"]
+        for name in ("workload", "platform", "placement"):
+            assert first[name] is not second[name]
+        assert first["workload"]["tags"] is not second["workload"]["tags"]
+        assert first["platform"]["dram"] is not second["platform"]["dram"]
+        assert [first, second] == [serde.run_result_to_dict(result)
+                                   for result in results]
+
+
+def population_specs(seed=5):
+    """The 265-workload suite x {DRAM, CXL-A} x SKX/SPR/EMR: 1590."""
+    members = list(evaluation_suite(seed=2026))
+    specs = []
+    for name in ("skx2s", "spr2s", "emr2s"):
+        machine = Machine(get_platform(name), seed=seed)
+        for member in members:
+            specs.append(RunSpec.from_machine(machine, member,
+                                              Placement.dram_only()))
+            specs.append(RunSpec.from_machine(
+                machine, member, Placement.slow_only("cxl-a")))
+    return specs
+
+
+class TestGoldenKeys:
+    """Committed cache keys.  A key that moves orphans every stored
+    result for it, so these may change only together with a
+    ``CACHE_SCHEMA_VERSION`` (or package version) bump."""
+
+    GOLDEN = {
+        "dram-only":
+            "e621c88a6c593611be4913cd8db0ff63127cbd60560dadb0e57a6d5bd4d85e20",
+        "slow-only":
+            "1e5c55eaa0d8dfd26e639271fa75507f4a6431e5ae2cd650d09dece0abe5bb39",
+        "interleaved":
+            "c68efaee49512d17ba50869501ac335ffe1f1885fdf46c67e22f9fbe2ff64915",
+        "custom-device":
+            "8111a0690f65888db6839ccd727dac9bbc0b103bfa205b84c59fe67451acb64e",
+    }
+    CALIBRATION = \
+        "221a34e316c14a7265f4941d361c9ced8fdf61e49d3f75993bbe22fe4126d2fe"
+
+    @staticmethod
+    def specs():
+        tweaked = dataclasses.replace(
+            CXL_A, idle_latency_ns=CXL_A.idle_latency_ns + 25.0)
+        mcf = get_workload("605.mcf")
+        return {
+            "dram-only": RunSpec.from_machine(
+                Machine(SKX2S), mcf, Placement.dram_only()),
+            "slow-only": RunSpec.from_machine(
+                Machine(SKX2S), mcf, Placement.slow_only("cxl-a")),
+            "interleaved": RunSpec.from_machine(
+                Machine(SPR2S, seed=7), get_workload("603.bwaves"),
+                Placement.interleaved(0.5, "cxl-b")),
+            "custom-device": RunSpec.from_machine(
+                Machine(SKX2S, devices={"cxl-a": tweaked}), mcf,
+                Placement.slow_only("cxl-a")),
+        }
+
+    def test_run_spec_keys(self):
+        specs = self.specs()
+        assert {name: spec.fingerprint()
+                for name, spec in specs.items()} == self.GOLDEN
+        assert {name: fingerprint(spec.key_material())
+                for name, spec in specs.items()} == self.GOLDEN
+        assert fingerprints(list(specs.values())) == \
+            list(self.GOLDEN.values())
+
+    def test_calibration_spec_key(self):
+        spec = CalibrationSpec.from_machine(
+            Machine(get_platform("emr2s"), noise=0.0), "cxl-a")
+        assert spec.fingerprint() == self.CALIBRATION
+
+
+class TestBatchFingerprints:
+    def test_population_matches_key_material_lane_by_lane(self):
+        specs = population_specs()
+        assert len(specs) == 1590
+        keys = fingerprints(specs)
+        for spec, key in zip(specs, keys):
+            assert key == fingerprint(spec.key_material())
+
+    def test_equal_fields_typed_differently_get_different_keys(self):
+        # 2_000_000_000 == 2e9 and 0 == 0.0, so the two workloads (and
+        # machines) compare equal; their canonical JSON does not.
+        machine = Machine(SKX2S)
+        base = get_workload("605.mcf")
+        as_int = dataclasses.replace(base, instructions=2_000_000_000)
+        as_float = dataclasses.replace(base, instructions=2e9)
+        assert as_int == as_float
+        specs = [RunSpec.from_machine(machine, as_int),
+                 RunSpec.from_machine(machine, as_float),
+                 RunSpec.from_machine(Machine(SKX2S, noise=0), base),
+                 RunSpec.from_machine(Machine(SKX2S, noise=0.0), base)]
+        keys = fingerprints(specs)
+        assert keys == [fingerprint(spec.key_material())
+                        for spec in specs]
+        assert keys[0] != keys[1]
+        assert keys[2] != keys[3]
+
+    def test_generator_of_short_lived_specs(self):
+        # Each spec (and its placement) dies once iterated past; a
+        # recycled id must never serve a stale fragment.
+        machine = Machine(SKX2S)
+        workload = get_workload("605.mcf")
+
+        def specs():
+            return (RunSpec.from_machine(
+                machine, workload,
+                Placement.interleaved(share / 100, "cxl-a"))
+                for share in range(1, 99))
+
+        assert fingerprints(specs()) == [
+            fingerprint(spec.key_material()) for spec in specs()]
+
+    def test_repeated_objects_and_empty_batch(self):
+        spec = spec_for()
+        assert fingerprints([spec, spec]) == \
+            [fingerprint(spec.key_material())] * 2
+        assert fingerprints([]) == []
