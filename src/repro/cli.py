@@ -23,8 +23,8 @@ Drives the library end-to-end from a shell, the way an operator would:
 ``loadgen``           open-loop constant-rate load against a running
                       server; prints and saves the SLO report
 ``workloads``         list the named paper workloads
-``cache``             inspect / compact / clear / migrate the persistent
-                      result store (docs/STORE.md)
+``cache``             inspect / compact / clear the persistent result
+                      store (docs/STORE.md)
 ``lint``              camp-lint: statically check the determinism /
                       cache-key / PMU invariants (docs/LINT.md)
 ``trace``             re-run any other command under a span-trace
@@ -749,12 +749,11 @@ def cmd_cache(args) -> int:
     """Inspect or maintain the persistent result store (docs/STORE.md)."""
     from .runtime import warmstore
     from .runtime.spec import CACHE_SCHEMA_VERSION, code_version
-    from .runtime.store import LegacyJsonStore
+    from .runtime.store import legacy_entry_count
     root = pathlib.Path(args.cache_dir) if args.cache_dir \
         else default_cache_dir()
     if args.action in ("warm-info", "warm-clear"):
-        with ResultStore(root, migrate_legacy=False,
-                         auto_compact=False) as store:
+        with ResultStore(root, auto_compact=False) as store:
             if args.action == "warm-clear":
                 present = warmstore.clear_warm_cache(store)
                 print("cleared warm-start snapshot" if present else
@@ -766,20 +765,9 @@ def cmd_cache(args) -> int:
                 print(f"points:   {loaded}")
                 print(f"capacity: {cache.capacity}")
         return 0
-    if args.action == "migrate":
-        with ResultStore(root) as store:
-            entries = len(store)    # forces the open-time migration
-            stats = store.stats
-            print(f"migrated {stats.migrated} legacy entr"
-                  f"{'y' if stats.migrated == 1 else 'ies'} into "
-                  f"{len(store.segment_paths())} segment(s); "
-                  f"{stats.corrupt} rejected; {entries} entries live")
-        return 0
-    with ResultStore(root, migrate_legacy=False,
-                     auto_compact=False) as store:
+    with ResultStore(root, auto_compact=False) as store:
         if args.action == "clear":
-            entries = len(store)
-            store.clear()
+            entries = store.clear()
             print(f"cleared {entries} entr"
                   f"{'y' if entries == 1 else 'ies'} under {root}")
         elif args.action == "compact":
@@ -790,7 +778,7 @@ def cmd_cache(args) -> int:
                   f"{len(store.segment_paths())} segment(s), "
                   f"{len(store)} entries live")
         else:   # info
-            legacy = len(LegacyJsonStore(root))
+            legacy = legacy_entry_count(root)
             _, warm_points = warmstore.load_warm_cache(store)
             print(f"root:          {root}")
             print(f"schema:        {CACHE_SCHEMA_VERSION}")
@@ -1026,15 +1014,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cache",
-        help="inspect / compact / clear / migrate the persistent "
-             "result store (docs/STORE.md)")
+        help="inspect / compact / clear the persistent result store "
+             "(docs/STORE.md)")
     p.add_argument("action",
-                   choices=("info", "compact", "clear", "migrate",
-                            "warm-info", "warm-clear"),
+                   choices=("info", "compact", "clear", "warm-info",
+                            "warm-clear"),
                    help="info: summary; compact: rewrite live records "
                         "into fresh segments; clear: delete every "
-                        "entry; migrate: pull legacy JSON entries into "
-                        "segments; warm-info: the solver warm-start "
+                        "entry, legacy JSON files included; warm-info: "
+                        "the solver warm-start "
                         "snapshot for this code version; warm-clear: "
                         "tombstone it")
     p.add_argument("--cache-dir", type=_cache_dir_arg, metavar="DIR",

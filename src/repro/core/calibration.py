@@ -6,7 +6,7 @@ any workload.  They are learned once per (platform, slow-device) pair by
 running the microbenchmark suite (:func:`repro.workloads.microbench.
 calibration_suite`) on both DRAM and the slow tier, then fitting:
 
-- ``(p, q)``: :func:`scipy.optimize.curve_fit` of the hyperbola
+- ``(p, q)``: a Levenberg-Marquardt least-squares fit of the hyperbola
   ``f(AOL) = 1/(p + q/AOL)`` against each microbenchmark's measured
   latency-tolerance factor ``R_Lat/R_MLP - 1`` (Fig. 4f);
 - ``k_drd``: least squares of measured ``S_DRd`` against
@@ -42,6 +42,18 @@ from .store import StoreModel, measured_store_slowdown
 #: Initial guess for the hyperbola fit: p ~= 1 (tolerance saturating at
 #: the raw latency ratio), q sized for cycle-scale AOL values.
 _HYPERBOLA_P0 = (1.5, 60.0)
+
+#: Stopping rule of the hyperbola fit (MINPACK's default tolerance):
+#: converged once every Jacobian column is orthogonal to the residual
+#: to within this cosine, or once a step this small (relative to the
+#: parameters) no longer lowers the squared error.
+_LM_TOLERANCE = 1.49012e-8
+
+#: Iteration cap of the hyperbola fit; real calibrations need ~20.
+_LM_MAX_ITERATIONS = 500
+
+#: Floor on the hyperbola's denominator, keeping the reciprocal finite.
+_DENOMINATOR_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,25 +132,58 @@ def fit_hyperbola(aol_values: Sequence[float],
     Returns ``(p, q)``.  Points with non-positive tolerance (no latency
     growth at all) are kept - they anchor the low end of the curve -
     but clipped away from zero to keep the reciprocal finite.
-    """
-    # Imported lazily: scipy.optimize costs ~0.4 s to import, and the
-    # cache-hit paths (warm CLI runs, persisted calibrations) never fit.
-    from scipy.optimize import curve_fit
 
+    The fit is Levenberg-Marquardt with Marquardt's diagonal scaling
+    and the analytic Jacobian ``df/dp = -f**2``, ``df/dq = -f**2/AOL``.
+    Non-finite input raises :class:`ValueError`; a fit that does not
+    converge within ``_LM_MAX_ITERATIONS`` raises :class:`RuntimeError`.
+    """
     aol = np.asarray(aol_values, dtype=float)
     tol = np.asarray(tolerance_values, dtype=float)
     if aol.shape != tol.shape or aol.size < 2:
         raise ValueError("need >= 2 matching (AOL, tolerance) points")
+    if not (np.isfinite(aol).all() and np.isfinite(tol).all()):
+        raise ValueError("AOL and tolerance values must be finite")
     mask = aol > 0
     if mask.sum() < 2:
         raise ValueError("need >= 2 points with positive AOL")
-    aol, tol = aol[mask], np.maximum(tol[mask], 1e-3)
+    inverse_aol, tol = 1.0 / aol[mask], np.maximum(tol[mask], 1e-3)
 
-    def model(x, p, q):
-        return 1.0 / np.maximum(p + q / x, 1e-9)
+    def evaluate(params):
+        denominator = params[0] + params[1] * inverse_aol
+        fit = 1.0 / np.maximum(denominator, _DENOMINATOR_FLOOR)
+        residual = fit - tol
+        return denominator, fit, residual, float(residual @ residual)
 
-    params, _ = curve_fit(model, aol, tol, p0=p0, maxfev=20000)
-    return float(params[0]), float(params[1])
+    params = np.array(p0, dtype=float)
+    denominator, fit, residual, sse = evaluate(params)
+    damping = 1e-3
+    for _ in range(_LM_MAX_ITERATIONS):
+        slope = np.where(denominator > _DENOMINATOR_FLOOR, -fit * fit, 0.0)
+        jacobian = np.column_stack((slope, slope * inverse_aol))
+        normal = jacobian.T @ jacobian
+        gradient = jacobian.T @ residual
+        if np.all(np.abs(gradient) <=
+                  _LM_TOLERANCE * np.sqrt(np.diag(normal) * sse)):
+            return float(params[0]), float(params[1])
+        step = np.linalg.solve(
+            normal + damping * np.diag(np.diag(normal)), -gradient)
+        trial_params = params + step
+        trial = evaluate(trial_params)
+        if trial[-1] < sse:
+            params = trial_params
+            denominator, fit, residual, sse = trial
+            damping *= 0.1
+        elif np.all(np.abs(step) <=
+                    _LM_TOLERANCE * (np.abs(params) + _LM_TOLERANCE)):
+            # No step this small lowers the error: a floating-point
+            # minimum, as with data the hyperbola fits exactly.
+            return float(params[0]), float(params[1])
+        else:
+            damping *= 10.0
+    raise RuntimeError(
+        f"hyperbola fit did not converge in {_LM_MAX_ITERATIONS} "
+        "iterations")
 
 
 def _scale_factor(predictor: np.ndarray, measured: np.ndarray) -> float:

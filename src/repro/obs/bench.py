@@ -25,8 +25,7 @@ The pinned cases cover the layers a regression could hide in:
 ``solver_suite_batch``   the same pairs, one accelerated ``run_batch``
 ``suite_groups``         population solved per-(platform, seed) group
 ``suite_onebatch``       the same population, one cross-machine batch
-``suite_accel``          a 3-platform suite population, accelerated f64
-``solver_f32``           the same population, f32 pre-pass + f64 polish
+``suite_accel``          a 3-platform suite population, accelerated
 ``warm_persist_cold``    cold-process sweep seeded from the persisted
                          warm-start snapshot (``runtime/warmstore``)
 ``store_roundtrip_100k`` ``put_many`` + ``get_many``, 100k entries [*]
@@ -78,7 +77,9 @@ from typing import Any, Callable, Dict, List, Optional
 #: ``population`` block) tracking cross-machine one-shot solving, the
 #: float32 fast path, and the persistent warm-start store
 #: (docs/SOLVER.md).
-BENCH_SCHEMA = "repro-bench/6"
+#: 7: the ``solver_f32`` case and the ``f32_*`` population fields are
+#: gone with the float32 pre-pass they measured.
+BENCH_SCHEMA = "repro-bench/7"
 
 #: Machine seed for every benched simulation (pinned => comparable).
 BENCH_SEED = 0
@@ -112,7 +113,7 @@ SOLVER_SWEEP_DEVICE = "cxl-a"
 #: Population section shapes: the one-batch cases solve
 #: ``solver_workloads`` workloads x {dram, slow} x 3 platforms x
 #: ``POPULATION_SEEDS`` seeds - 9 per-(platform, seed) groups - in
-#: replay mode; the f32 pair solves the full evaluation suite x
+#: replay mode; ``suite_accel`` solves the full evaluation suite x
 #: {dram, slow} x 3 platforms accelerated, wide enough that array
 #: arithmetic (not per-iteration overhead) dominates.
 POPULATION_PLATFORMS = ("skx2s", "spr2s", "emr2s")
@@ -455,29 +456,22 @@ def run_bench(repeats: int = 5, out: Optional[pathlib.Path] = None,
         for spec, result in zip(members, members[0].machine().run_batch(
             [(s.workload, s.placement) for s in members])))
 
-    f32_population: List[Any] = []
+    accel_population: List[Any] = []
     for platform_name in POPULATION_PLATFORMS:
         seeded = Machine(get_platform(platform_name), seed=BENCH_SEED)
         for workload in evaluation_suite(seed=2026):
-            f32_population.append(RunSpec.from_machine(
+            accel_population.append(RunSpec.from_machine(
                 seeded, workload, Placement.dram_only()))
-            f32_population.append(RunSpec.from_machine(
+            accel_population.append(RunSpec.from_machine(
                 seeded, workload,
                 Placement.slow_only(SOLVER_SWEEP_DEVICE)))
     accel_stats: Dict[str, Any] = {}
-    f32_stats: Dict[str, Any] = {}
 
     def suite_accel() -> None:
-        Machine.run_batch_multi(f32_population, accelerate=True,
+        Machine.run_batch_multi(accel_population, accelerate=True,
                                 stats=accel_stats)
     cases.append(_case("suite_accel", suite_accel, pop_repeats,
-                       lanes=len(f32_population)))
-
-    def solver_f32() -> None:
-        Machine.run_batch_multi(f32_population, accelerate=True,
-                                float32=True, stats=f32_stats)
-    cases.append(_case("solver_f32", solver_f32, pop_repeats,
-                       lanes=len(f32_population)))
+                       lanes=len(accel_population)))
 
     # -- warm_persist_cold: a cold process seeded from the snapshot --------
     # Setup persists a sweep-seeded cache; each timed call then does
@@ -622,25 +616,15 @@ def run_bench(repeats: int = 5, out: Optional[pathlib.Path] = None,
         "groups": len(population_groups),
         "onebatch_speedup": _speedup("suite_groups", "suite_onebatch"),
         "onebatch_replay_identical": replay_identical,
-        "f32_lanes": len(f32_population),
-        "f32_speedup": _speedup("suite_accel", "solver_f32"),
-        "f32_iterations": int(f32_stats.get("f32_iterations", 0)),
-        "f32_polish_iterations": int(
-            f32_stats.get("outer_iterations", 0)),
         "warm_cold_points_loaded": warm_loaded[0],
         "warm_cold_seeds_used": int(
             persist_stats.get("warm_seeded", 0)),
         "nonconverged": int(accel_stats.get("nonconverged", 0)) +
-        int(f32_stats.get("nonconverged", 0)) +
         int(persist_stats.get("nonconverged", 0)),
     }
     by_name["suite_onebatch"].meta.update(
         speedup_vs_groups=population["onebatch_speedup"],
         replay_identical=replay_identical)
-    by_name["solver_f32"].meta.update(
-        speedup_vs_f64=population["f32_speedup"],
-        f32_iterations=population["f32_iterations"],
-        polish_iterations=population["f32_polish_iterations"])
     by_name["warm_persist_cold"].meta.update(
         points_loaded=warm_loaded[0],
         warm_seeded=population["warm_cold_seeds_used"])
@@ -738,8 +722,7 @@ def render_bench(result: Dict[str, Any]) -> str:
             f"{population['groups']} per-machine groups (target >= 5x, "
             f"replay identical: "
             f"{population['onebatch_replay_identical']}); "
-            f"f32 {population['f32_speedup']:.1f}x on "
-            f"{population['f32_lanes']} lanes; cold warm-start seeded "
+            f"cold warm-start seeded "
             f"{population['warm_cold_seeds_used']} lane(s) from "
             f"{population['warm_cold_points_loaded']} stored point(s)")
     store = result.get("store")

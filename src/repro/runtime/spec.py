@@ -50,7 +50,11 @@ from . import serde
 #: replay contract (docs/SOLVER.md) shifts results at the ulp level.
 #: 3: segment-backed store (docs/STORE.md) — payloads move from
 #: per-entry JSON files into CRC-checked binary segment records.
-CACHE_SCHEMA_VERSION = 3
+#: 4: the calibration hyperbola fit moves from a MINPACK library call
+#: to an in-tree Levenberg-Marquardt (``core/calibration.py``); its
+#: ``(p, q)`` differ by <= 1e-4 relative, and calibration keys do not
+#: name the fitter, so stored constants from the old fit are orphaned.
+CACHE_SCHEMA_VERSION = 4
 
 
 def code_version() -> str:

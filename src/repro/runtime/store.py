@@ -34,15 +34,16 @@ this store replaced (and its tests still pin it):
   :data:`~repro.runtime.spec.CACHE_SCHEMA_VERSION` it was written
   under; records from other schema versions are corrupt misses.
 
-Legacy per-entry JSON layouts (``<root>/<key[:2]>/<key>.json``) are
-migrated into segments the first time the new store opens the root —
-see :class:`LegacyJsonStore` and ``docs/STORE.md`` ("Migration").
+Buckets of the retired per-entry JSON layout
+(``<root>/<key[:2]>/<key>.json``) are never read: every entry in them
+predates the current schema.  :meth:`ResultStore.clear` removes them
+and :func:`legacy_entry_count` counts them (``docs/STORE.md``,
+"Legacy layout").
 """
 
 from __future__ import annotations
 
 import io
-import json
 import os
 import pathlib
 import re
@@ -153,8 +154,6 @@ class StoreStats:
     sealed_segments: int = 0
     #: Explicit or automatic compaction passes.
     compactions: int = 0
-    #: Entries imported from a legacy per-entry JSON layout.
-    migrated: int = 0
     #: Deletion records appended by :meth:`ResultStore.invalidate`.
     tombstones: int = 0
 
@@ -165,7 +164,6 @@ class StoreStats:
                 "appended_bytes": self.appended_bytes,
                 "sealed_segments": self.sealed_segments,
                 "compactions": self.compactions,
-                "migrated": self.migrated,
                 "tombstones": self.tombstones}
 
 
@@ -235,10 +233,6 @@ class ResultStore:
     cache_capacity:
         Payloads kept in the in-process LRU read cache; ``0`` disables
         the cache.
-    migrate_legacy:
-        Import (and then remove) entries from a legacy per-entry JSON
-        layout found under the root.  On by default; the migration is
-        one-shot and crash-safe (docs/STORE.md "Migration").
     auto_compact:
         Compact automatically when a seal leaves more than
         :data:`AUTO_COMPACT_DEAD_FRACTION` of the log superseded.
@@ -248,7 +242,6 @@ class ResultStore:
                  tracer: Optional[Tracer] = None, *,
                  segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
                  cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-                 migrate_legacy: bool = True,
                  auto_compact: bool = True):
         if segment_max_bytes < 1:
             raise ValueError("segment_max_bytes must be positive")
@@ -262,7 +255,6 @@ class ResultStore:
         self.tracer = tracer
         self.segment_max_bytes = segment_max_bytes
         self.cache_capacity = cache_capacity
-        self.migrate_legacy = migrate_legacy
         self.auto_compact = auto_compact
         self._lock = threading.RLock()
         self._index: Dict[str, _Location] = {}
@@ -322,14 +314,11 @@ class ResultStore:
         with span as opened:
             self._open()
             opened.annotate(entries=len(self._index),
-                            corrupt=self.stats.corrupt,
-                            migrated=self.stats.migrated)
+                            corrupt=self.stats.corrupt)
 
     def _open(self) -> None:
         self._drop_compaction_leftovers()
         self._refresh(initial=True)
-        if self.migrate_legacy:
-            self._migrate_legacy_layout()
 
     def _drop_compaction_leftovers(self) -> None:
         """Remove temp files a killed compaction left behind."""
@@ -858,7 +847,7 @@ class ResultStore:
 
     def __enter__(self) -> "ResultStore":
         # Eager open: entering the context is an explicit lifecycle
-        # statement, so recovery + migration happen here, not at the
+        # statement, so recovery happens here, not at the
         # first read (``with ResultStore(root) as s: s.stats`` works).
         with self._lock:
             self._ensure_open()
@@ -1059,64 +1048,6 @@ class ResultStore:
                                        length=length)
         return path
 
-    # -- migration -----------------------------------------------------------
-    def _migrate_legacy_layout(self) -> None:
-        """One-shot import of a per-entry JSON layout into segments.
-
-        Valid entries (embedded key matches, current schema) are
-        appended to the log and their files removed; damaged or
-        stale-schema files count as corrupt and are removed too.
-        Emptied fan-out buckets are dropped.  Crash-safe: an entry is
-        unlinked only after its record is flushed, so a killed
-        migration re-imports the remainder next open (duplicates are
-        harmless — latest-wins over identical values).
-        """
-        buckets = _legacy_buckets(self.root)
-        if not buckets:
-            return
-        span = self._span("store.migrate")
-        if span is None:
-            self._run_migration(buckets)
-            return
-        with span as active:
-            self._run_migration(buckets)
-            active.annotate(migrated=self.stats.migrated,
-                            corrupt=self.stats.corrupt)
-
-    def _run_migration(self, buckets: List[pathlib.Path]) -> None:
-        from .spec import CACHE_SCHEMA_VERSION
-        for bucket in buckets:
-            for path in sorted(bucket.glob("*.json")):
-                try:
-                    entry = json.loads(path.read_text())
-                    key = entry["key"]
-                    if (not isinstance(entry, dict) or
-                            key != path.stem or
-                            entry.get("schema") !=
-                            CACHE_SCHEMA_VERSION):
-                        raise ValueError("invalid legacy entry")
-                    payload = entry["payload"]
-                    _check_key(key)
-                except OSError:
-                    continue
-                except (ValueError, KeyError, TypeError):
-                    self.stats.corrupt += 1
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-                    continue
-                try:
-                    self._put_many([(key, payload)])
-                    self.stats.migrated += 1
-                    self.stats.writes -= 1      # a move, not new work
-                    path.unlink()
-                except OSError:
-                    # Unwritable root: serve what already migrated and
-                    # leave the rest for a writable open.
-                    return
-            _remove_bucket_if_empty(bucket)
-
     # -- chaos seams ---------------------------------------------------------
     # Protected primitives for repro.faults.ChaosStore: they let the
     # injector damage freshly-appended records at the byte level while
@@ -1201,7 +1132,7 @@ class ResultStore:
 
 
 # ---------------------------------------------------------------------------
-# The legacy per-entry JSON layout (kept for migration and tooling).
+# The retired per-entry JSON layout: ignored, counted, and cleared.
 # ---------------------------------------------------------------------------
 
 def _legacy_buckets(root: pathlib.Path) -> List[pathlib.Path]:
@@ -1228,6 +1159,12 @@ def _remove_bucket_if_empty(bucket: pathlib.Path) -> None:
         pass
 
 
+def legacy_entry_count(root: pathlib.Path) -> int:
+    """Entry files of the retired JSON layout under ``root``."""
+    return sum(len(list(bucket.glob("*.json")))
+               for bucket in _legacy_buckets(pathlib.Path(root)))
+
+
 def _clear_legacy_entries(root: pathlib.Path) -> int:
     removed = 0
     for bucket in _legacy_buckets(root):
@@ -1239,98 +1176,3 @@ def _clear_legacy_entries(root: pathlib.Path) -> int:
                 pass
         _remove_bucket_if_empty(bucket)
     return removed
-
-
-class LegacyJsonStore:
-    """The retired one-file-per-entry JSON store.
-
-    Kept so tooling (the CI migration smoke, tests, operators with old
-    caches) can *produce* the legacy layout that
-    :class:`ResultStore` migrates from.  Same durability contract:
-    atomic writes, corruption-as-miss, schema rejection — including on
-    ``__contains__``, which validates the entry exactly like ``get``
-    (the legacy implementation's stale-schema containment bug is fixed
-    here too).
-    """
-
-    def __init__(self, root: pathlib.Path):
-        self.root = pathlib.Path(root)
-        self.stats = StoreStats()
-
-    def path_for(self, key: str) -> pathlib.Path:
-        _check_key(key)
-        return self.root / key[:2] / f"{key}.json"
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        from .spec import CACHE_SCHEMA_VERSION
-        path = self.path_for(key)
-        try:
-            text = path.read_text()
-        except OSError:
-            self.stats.misses += 1
-            return None
-        try:
-            entry = json.loads(text)
-            if not isinstance(entry, dict) or entry.get("key") != key:
-                raise ValueError("entry/key mismatch")
-            if entry.get("schema") != CACHE_SCHEMA_VERSION:
-                raise ValueError("stale cache schema")
-            payload = entry["payload"]
-        except (ValueError, KeyError, TypeError):
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return payload
-
-    def put(self, key: str, payload: Dict[str, Any]) -> None:
-        from .spec import CACHE_SCHEMA_VERSION
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"key": key, "schema": CACHE_SCHEMA_VERSION,
-                 "payload": payload}
-        handle, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(handle, "w") as tmp:
-                json.dump(entry, tmp)
-            os.replace(tmp_name, path)
-        except BaseException:   # camp-lint: disable=ERR01 -- cleanup-and-reraise: the temp file must go even on KeyboardInterrupt
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self.stats.writes += 1
-
-    def invalidate(self, key: str) -> bool:
-        try:
-            self.path_for(key).unlink()
-            return True
-        except OSError:
-            return False
-
-    def clear(self) -> int:
-        """Remove every entry *and* the emptied fan-out buckets."""
-        return _clear_legacy_entries(self.root)
-
-    def _entries(self) -> Iterator[pathlib.Path]:
-        for bucket in _legacy_buckets(self.root):
-            yield from sorted(bucket.glob("*.json"))
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self._entries())
-
-    def __contains__(self, key: str) -> bool:
-        # Same validation as get: presence of a file is not presence
-        # of a servable entry (stale schema / damage is a miss).
-        stats = self.stats
-        self.stats = StoreStats()
-        try:
-            return self.get(key) is not None
-        finally:
-            self.stats = stats
-
-    def __repr__(self) -> str:
-        return (f"LegacyJsonStore(root={str(self.root)!r}, "
-                f"entries={len(self)})")

@@ -404,8 +404,7 @@ def exposure_corrections_batch(burstiness: np.ndarray, mlp_eff: np.ndarray,
 
 
 def account_cycles_batch(params: BatchCoreParams, flow: BatchPrefetchFlow,
-                         latency_ctx: BatchLatencyContext,
-                         relative_tolerance: float = _RELATIVE_TOLERANCE
+                         latency_ctx: BatchLatencyContext
                          ) -> BatchCycleBreakdown:
     """Solve N per-core cycle breakdowns at fixed memory latencies.
 
@@ -413,12 +412,6 @@ def account_cycles_batch(params: BatchCoreParams, flow: BatchPrefetchFlow,
     iteration they meet the scalar solver's convergence criterion, so
     every retained term carries exactly the doubles the scalar
     `account_cycles` would have produced for that problem.
-
-    ``relative_tolerance`` exists for the float32 fast path
-    (``uarch/fastpath.py``): the default 1e-10 criterion sits below
-    float32 machine epsilon and would never trigger, so the f32 phase
-    passes a looser one.  Every bit-identity-bearing caller keeps the
-    default.
     """
     threads = params.threads
     instructions_per_core = params.instructions / threads
@@ -491,7 +484,7 @@ def account_cycles_batch(params: BatchCoreParams, flow: BatchPrefetchFlow,
         new_cycles = (base_cycles + s_llc_it + s_cache_it + s_sb_it +
                       s_l2_hit + s_l3_hit)
         conv_now = active & (np.abs(new_cycles - cycles) <=
-                             relative_tolerance * cycles)
+                             _RELATIVE_TOLERANCE * cycles)
 
         # Lanes still iterating (including those converging right now)
         # retain this iteration's terms - exactly what the scalar loop

@@ -29,14 +29,12 @@ import numpy as np
 from ..core.counters import CounterSample, ProfiledRun
 from ..obs.tracer import maybe_span
 from ..workloads.spec import WorkloadSpec
-from . import fastpath
 from . import memory as memory_mod
 from .caches import DemandProfile, demand_profile
 from .config import (DEVICES, MemoryDeviceConfig, PlatformConfig,
                      get_device)
 from .core import (BatchCoreParams, BatchCycleBreakdown, BatchLatencyContext,
-                   CycleBreakdown, LatencyContext,
-                   _RELATIVE_TOLERANCE as _INNER_TOLERANCE, account_cycles,
+                   CycleBreakdown, LatencyContext, account_cycles,
                    account_cycles_batch)
 from .interleave import Placement, request_share, request_share_batch
 from .memory import (MAX_ESCALATION, DeviceLanes, TierLoad,
@@ -665,8 +663,7 @@ class Machine:
                       Optional[Mapping[str, float]]]] = None,
                   *, accelerate: bool = False,
                   warm_cache: Optional[WarmStartCache] = None,
-                  stats: Optional[Dict[str, object]] = None,
-                  float32: bool = False
+                  stats: Optional[Dict[str, object]] = None
                   ) -> List[RunResult]:
         """Execute N (workload, placement) problems in one vectorized solve.
 
@@ -679,33 +676,22 @@ class Machine:
         fixed point within :data:`ACCELERATED_RELATIVE_TOLERANCE`
         (docs/SOLVER.md has the full tolerance contract).
 
-        ``float32=True`` (requires ``accelerate=True``) runs a single-
-        precision pre-pass to loose tolerances and then polishes every
-        lane in float64, so the returned observables are float64 and
-        the :data:`ACCELERATED_RELATIVE_TOLERANCE` contract still
-        holds (see ``uarch/fastpath.py``).
-
         ``external_traffic`` optionally gives one per-problem mapping of
         tier name to colocated GB/s, aligned with ``pairs``.  ``stats``
         (if given) receives solver telemetry: problem count, mode,
-        outer-iteration totals, warm seeds used, float32 pre-pass
-        iterations, and how many lanes did not converge.
+        outer-iteration totals, warm seeds used, and how many lanes did
+        not converge.
         """
         pairs = list(pairs)
         if warm_cache is not None and not accelerate:
             raise ValueError(
                 "warm_cache requires accelerate=True: replay mode must "
                 "stay bit-identical to Machine.run")
-        if float32 and not accelerate:
-            raise ValueError(
-                "float32 requires accelerate=True: replay mode must "
-                "stay bit-identical to Machine.run")
         with maybe_span("machine.run_batch", problems=len(pairs),
                         platform=self.platform.name,
                         accelerated=accelerate) as span:
             results, solve_stats = self._run_batch(
-                pairs, external_traffic, accelerate, warm_cache,
-                float32=float32)
+                pairs, external_traffic, accelerate, warm_cache)
             if span is not None:
                 span.annotate(**solve_stats)
             if stats is not None:
@@ -713,12 +699,11 @@ class Machine:
             return results
 
     def _run_batch(self, pairs, external_traffic, accelerate, warm_cache,
-                   float32=False, platforms=None, noises=None, seeds=None):
+                   platforms=None, noises=None, seeds=None):
         if not pairs:
             return [], {"problems": 0, "mode": "empty",
                         "outer_iterations": 0, "nonconverged": 0,
-                        "warm_seeded": 0, "replay_resolves": 0,
-                        "f32_iterations": 0}
+                        "warm_seeded": 0, "replay_resolves": 0}
         externals: List[Optional[Mapping[str, float]]]
         if external_traffic is None:
             externals = [None] * len(pairs)
@@ -749,8 +734,7 @@ class Machine:
                 "problems": len(pairs), "mode": "scalar-fallback",
                 "outer_iterations": 0,
                 "nonconverged": sum(1 for r in results if not r.converged),
-                "warm_seeded": 0, "replay_resolves": 0,
-                "f32_iterations": 0}
+                "warm_seeded": 0, "replay_resolves": 0}
 
         problem = self._pack_batch(pairs, externals, platforms=platforms,
                                    noises=noises, seeds=seeds)
@@ -758,23 +742,6 @@ class Machine:
         warm_seeded = 0
         if accelerate and warm_cache is not None:
             warm_seeded = self._apply_warm_seeds(problem, state, warm_cache)
-
-        f32_iterations = 0
-        if float32:
-            # Single-precision pre-pass: solve the whole batch to the
-            # loose fastpath tolerances in float32, then seed the
-            # float64 solve below from its final state.  The f64 pass
-            # re-derives every observable, so precision of the result
-            # is unchanged; lanes the pre-pass placed near the fixed
-            # point converge in a handful of double-precision steps.
-            pre = self._solve_batch(
-                fastpath.problem_to_float32(problem),
-                fastpath.state_to_float32(state),
-                accelerate=True,
-                outer_tolerance=fastpath.FASTPATH_OUTER_TOLERANCE,
-                inner_tolerance=fastpath.FASTPATH_INNER_TOLERANCE)
-            f32_iterations = int(pre.iterations.sum())
-            state = fastpath.seed_state_from_solution(pre)
 
         solution = self._solve_batch(problem, state, accelerate)
         replay_resolves = 0
@@ -796,21 +763,19 @@ class Machine:
         results = self._materialize(problem, solution)
         solve_stats = {
             "problems": problem.size,
-            "mode": ("accelerated-f32" if float32 else
-                     "accelerated" if accelerate else "replay"),
+            "mode": "accelerated" if accelerate else "replay",
             "outer_iterations": int(solution.iterations.sum()),
             "nonconverged": sum(1 for r in results if not r.converged),
             "warm_seeded": warm_seeded,
             "replay_resolves": replay_resolves,
-            "f32_iterations": f32_iterations,
         }
         return results, solve_stats
 
     @classmethod
     def run_batch_multi(cls, specs: Sequence, *, accelerate: bool = False,
                         warm_cache: Optional[WarmStartCache] = None,
-                        stats: Optional[Dict[str, object]] = None,
-                        float32: bool = False) -> List[RunResult]:
+                        stats: Optional[Dict[str, object]] = None
+                        ) -> List[RunResult]:
         """Solve specs spanning *different machines* as one masked batch.
 
         ``specs`` is any sequence of objects exposing ``workload``,
@@ -824,7 +789,7 @@ class Machine:
         In the default *replay* mode the result list is bit-identical
         to looping ``Machine(spec.platform, noise=spec.noise,
         seed=spec.seed).run(spec.workload, spec.placement)`` over the
-        specs.  ``accelerate``/``warm_cache``/``float32`` behave as in
+        specs.  ``accelerate``/``warm_cache`` behave as in
         :meth:`run_batch`.
         """
         specs = list(specs)
@@ -832,16 +797,11 @@ class Machine:
             raise ValueError(
                 "warm_cache requires accelerate=True: replay mode must "
                 "stay bit-identical to Machine.run")
-        if float32 and not accelerate:
-            raise ValueError(
-                "float32 requires accelerate=True: replay mode must "
-                "stay bit-identical to Machine.run")
         if not specs:
             if stats is not None:
                 stats.update(problems=0, mode="empty",
                              outer_iterations=0, nonconverged=0,
-                             warm_seeded=0, replay_resolves=0,
-                             f32_iterations=0)
+                             warm_seeded=0, replay_resolves=0)
             return []
         host = cls(specs[0].platform, noise=specs[0].noise,
                    seed=specs[0].seed)
@@ -849,7 +809,7 @@ class Machine:
         with maybe_span("machine.run_batch_multi", problems=len(specs),
                         accelerated=accelerate) as span:
             results, solve_stats = host._run_batch(
-                pairs, None, accelerate, warm_cache, float32=float32,
+                pairs, None, accelerate, warm_cache,
                 platforms=[spec.platform for spec in specs],
                 noises=[float(spec.noise) for spec in specs],
                 seeds=[int(spec.seed) for spec in specs])
@@ -988,16 +948,13 @@ class Machine:
     def _evaluate_outer(self, problem: _BatchProblem,
                         dram_latency_ns, slow_latency_ns,
                         dram_rfo_ns, slow_rfo_ns,
-                        dram_escalation, slow_escalation,
-                        inner_tolerance: float = _INNER_TOLERANCE):
+                        dram_escalation, slow_escalation):
         """One application of the outer map at the given state arrays.
 
         Mirrors the body of `_run`'s loop operation-for-operation;
         returns the pre-damping latency targets, the updated
         escalations, this iteration's observables, and the convergence
-        delta/scale.  ``inner_tolerance`` parameterizes the core
-        accounting's convergence criterion for the float32 fast path
-        (``uarch/fastpath.py``); the default is the scalar criterion.
+        delta/scale.
         """
         x_req = problem.x_req
         tier_read = (x_req * dram_latency_ns +
@@ -1017,8 +974,7 @@ class Machine:
             rfo_ns=rfo,
             reference_idle_ns=problem.reference_idle_ns,
         )
-        breakdown = account_cycles_batch(problem.params, flow, latency_ctx,
-                                         relative_tolerance=inner_tolerance)
+        breakdown = account_cycles_batch(problem.params, flow, latency_ctx)
 
         runtime_s = breakdown.cycles / (
             problem.params.frequency_ghz * 1e9)
@@ -1071,10 +1027,7 @@ class Machine:
 
     def _solve_batch(self, problem: _BatchProblem,
                      state: Dict[str, np.ndarray],
-                     accelerate: bool,
-                     outer_tolerance: float = _OUTER_TOLERANCE,
-                     inner_tolerance: float = _INNER_TOLERANCE
-                     ) -> _BatchSolution:
+                     accelerate: bool) -> _BatchSolution:
         """Iterate the outer fixed point for all lanes at once.
 
         Replay mode applies exactly the scalar damped update; each lane
@@ -1083,11 +1036,6 @@ class Machine:
         the scalar path's doubles verbatim.  Accelerated mode layers an
         Anderson(1) secant step on top of the damped map, with
         per-lane safeguards falling back to the plain damped step.
-
-        The tolerance parameters exist for the float32 fast path
-        (``uarch/fastpath.py``): the scalar criteria (the defaults) sit
-        below float32 machine epsilon, so the f32 phase solves to a
-        looser criterion and a float64 polish finishes the job.
         """
         dram_latency_ns = state["dram_latency_ns"]
         slow_latency_ns = state["slow_latency_ns"]
@@ -1114,8 +1062,7 @@ class Machine:
              delta, scale) = self._evaluate_outer(
                 problem, dram_latency_ns, slow_latency_ns,
                 dram_rfo_ns, slow_rfo_ns,
-                dram_escalation, slow_escalation,
-                inner_tolerance=inner_tolerance)
+                dram_escalation, slow_escalation)
             iterations += active
 
             # Observables retained by lanes still iterating: exactly
@@ -1125,7 +1072,7 @@ class Machine:
             kept_dram_gbps = np.where(active, dram_gbps, kept_dram_gbps)
             kept_slow_gbps = np.where(active, slow_gbps, kept_slow_gbps)
 
-            conv_now = active & (delta <= outer_tolerance * scale)
+            conv_now = active & (delta <= _OUTER_TOLERANCE * scale)
             still_active = active & ~conv_now
 
             # The damped map image - the step the scalar solver takes

@@ -335,51 +335,6 @@ class TestRunBatchMulti:
         assert Machine.run_batch_multi([], stats=stats) == []
         assert stats["problems"] == 0
 
-    def test_f32_fast_path_within_tolerance(self):
-        specs = self.platform_specs()
-        stats = {}
-        batch = Machine.run_batch_multi(specs, accelerate=True,
-                                        float32=True, stats=stats)
-        assert stats["mode"] == "accelerated-f32"
-        assert stats["f32_iterations"] > 0
-        scalar = [spec.machine().run(spec.workload, spec.placement)
-                  for spec in specs]
-        for got, want in zip(batch, scalar):
-            assert got.converged
-            assert relative_error(got.cycles, want.cycles) <= \
-                ACCELERATED_RELATIVE_TOLERANCE
-            assert relative_error(got.observed_read_ns,
-                                  want.observed_read_ns) <= \
-                ACCELERATED_RELATIVE_TOLERANCE
-
-    def test_f32_nonconverged_lanes_replay_resolve(self, monkeypatch):
-        # Lanes neither phase can settle under a tiny iteration cap
-        # fall back to the float64 replay re-solve, reproducing the
-        # scalar solver's truncated iterates exactly.
-        monkeypatch.setattr(machine_mod, "_MAX_OUTER_ITERATIONS", 20)
-        specs = [RunSpec.from_machine(Machine(SKX2S), workload,
-                                      placement)
-                 for workload, placement in sweep_pairs(points=5)]
-        stats = {}
-        batch = Machine.run_batch_multi(specs, accelerate=True,
-                                        float32=True, stats=stats)
-        scalar = [spec.machine().run(spec.workload, spec.placement)
-                  for spec in specs]
-        assert stats["nonconverged"] > 0
-        assert stats["replay_resolves"] == stats["nonconverged"]
-        for got, want in zip(batch, scalar):
-            if not got.converged:
-                assert got.cycles == want.cycles
-
-    def test_f32_requires_accelerate(self):
-        with pytest.raises(ValueError, match="accelerate"):
-            Machine.run_batch_multi(self.identity_specs()[:2],
-                                    float32=True)
-
-    def test_run_batch_f32_requires_accelerate(self):
-        with pytest.raises(ValueError, match="accelerate"):
-            Machine(SKX2S).run_batch(mixed_pairs()[:2], float32=True)
-
     def test_warm_cache_requires_accelerate(self):
         with pytest.raises(ValueError, match="accelerate"):
             Machine.run_batch_multi(self.identity_specs()[:2],

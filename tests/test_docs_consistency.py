@@ -162,7 +162,7 @@ class TestStoreDoc:
     def test_exists_and_covers_the_contract(self):
         store = read("docs/STORE.md")
         for term in ("CAMPSEG1", "CREC", "RECORD_HEADER", "CRC",
-                     "tombstone", "compact", "torn", "LegacyJsonStore",
+                     "tombstone", "compact", "torn", "ignored on open",
                      "CACHE_SCHEMA_VERSION", "marshal",
                      "get_many", "put_many"):
             assert term in store, f"{term!r} missing from STORE.md"

@@ -418,7 +418,7 @@ class TestDtype01:
     @pytest.mark.parametrize("source", [BAD_ASTYPE, BAD_DTYPE_KWARG,
                                         BAD_STRING_DTYPE, BAD_SCALAR_CAST,
                                         BAD_POSITIONAL])
-    def test_flags_float32_creation_outside_fastpath(self, source):
+    def test_flags_float32_creation(self, source):
         assert rules_hit("DTYPE01", source,
                          "src/repro/uarch/fake.py") == ["DTYPE01"]
 
@@ -426,9 +426,9 @@ class TestDtype01:
         assert not findings_for("DTYPE01", self.GOOD_F64,
                                 "src/repro/uarch/fake.py")
 
-    def test_sanctioned_fastpath_module_is_exempt(self):
-        assert not findings_for("DTYPE01", self.BAD_ASTYPE,
-                                "src/repro/uarch/fastpath.py")
+    def test_former_fastpath_module_is_not_exempt(self):
+        assert rules_hit("DTYPE01", self.BAD_ASTYPE,
+                         "src/repro/uarch/fastpath.py") == ["DTYPE01"]
 
     def test_applies_outside_uarch_too(self):
         assert rules_hit("DTYPE01", self.BAD_DTYPE_KWARG,

@@ -255,16 +255,16 @@ class TestGoldenKeys:
 
     GOLDEN = {
         "dram-only":
-            "e621c88a6c593611be4913cd8db0ff63127cbd60560dadb0e57a6d5bd4d85e20",
+            "9b0792d536be6b160d776812aafc02c973db8a6792e59aaadb6781ebe91147c9",
         "slow-only":
-            "1e5c55eaa0d8dfd26e639271fa75507f4a6431e5ae2cd650d09dece0abe5bb39",
+            "9812ac2b5aa1e4782558c3a585715de18886c73b7b2f38918a69ae028de4219b",
         "interleaved":
-            "c68efaee49512d17ba50869501ac335ffe1f1885fdf46c67e22f9fbe2ff64915",
+            "b3843303c98faac63981d5453677c9801eed5260533a9c8035c4e31290b37073",
         "custom-device":
-            "8111a0690f65888db6839ccd727dac9bbc0b103bfa205b84c59fe67451acb64e",
+            "712f136136e8049053d01bcb283f3a7e6dd8d4d2d9dd271624f496a6554f4eef",
     }
     CALIBRATION = \
-        "221a34e316c14a7265f4941d361c9ced8fdf61e49d3f75993bbe22fe4126d2fe"
+        "f96132a6927e3a538a70a3ffd94b9cb9beac9f9e80119533c61387d4061bf204"
 
     @staticmethod
     def specs():

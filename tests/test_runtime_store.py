@@ -3,9 +3,10 @@
 docs/STORE.md promises: an append-only segment log whose records are
 self-validating (magic + CRC + schema + embedded key), corruption-as-
 miss (a damaged cache can cost time, never correctness), crash
-recovery on open (torn tails truncated, killed compactions and
-migrations resumed), explicit invalidation, and a one-shot migration
-from the retired per-entry JSON layout (:class:`LegacyJsonStore`).
+recovery on open (torn tails truncated, killed compactions
+resumed), explicit invalidation, and that buckets of the retired
+per-entry JSON layout are ignored on open, counted by ``cache info``
+and removed by ``cache clear``.
 """
 
 import json
@@ -18,9 +19,10 @@ import pytest
 from repro.faults import ChaosStore, FaultPlan, StoreFault
 from repro.runtime.serde import payload_to_bytes
 from repro.runtime.spec import CACHE_SCHEMA_VERSION
+from repro.cli import main
 from repro.runtime.store import (DEFAULT_CACHE_DIRNAME, SEGMENT_MAGIC,
-                                 LegacyJsonStore, ResultStore,
-                                 default_cache_dir, encode_record)
+                                 ResultStore, default_cache_dir,
+                                 encode_record)
 
 KEY = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
@@ -316,15 +318,6 @@ class TestInvalidation:
         store.put(KEY, {"a": 1})
         assert store.get(KEY) == {"a": 1}
 
-    def test_clear_removes_legacy_entries_too(self, root):
-        legacy = LegacyJsonStore(root)
-        legacy.put(KEY, {"a": 1})
-        store = ResultStore(root, migrate_legacy=False)
-        store.put(OTHER, {"b": 2})
-        assert store.clear() == 2
-        assert len(legacy) == 0
-        assert not (root / KEY[:2]).exists()
-
 
 class TestCompaction:
     def test_compact_reclaims_dead_space(self, store):
@@ -355,48 +348,57 @@ class TestCompaction:
         assert store.stats.compactions == 0
 
 
-class TestMigration:
-    def populate_legacy(self, root, count=3):
-        legacy = LegacyJsonStore(root)
-        items = [(key_n(i), {"round": i}) for i in range(count)]
-        for key, payload in items:
-            legacy.put(key, payload)
-        return items
+def write_legacy_entries(root, keys):
+    """Entry files in the retired ``<key[:2]>/<key>.json`` layout.
 
-    def test_legacy_entries_imported_on_open(self, root):
-        items = self.populate_legacy(root)
-        store = ResultStore(root)
-        assert len(store) == 3
-        assert store.stats.migrated == 3
-        for key, payload in items:
-            assert store.get(key) == payload
-        # The legacy files and their fan-out buckets are gone.
-        assert len(LegacyJsonStore(root)) == 0
-        assert [p for p in root.iterdir() if p.name != "segments"] == []
-
-    def test_damaged_legacy_entries_rejected(self, root):
-        self.populate_legacy(root)
-        bucket = root / KEY[:2]
+    Each carries the current schema, so nothing but the layout itself
+    marks them as legacy.
+    """
+    paths = []
+    for index, key in enumerate(keys):
+        bucket = root / key[:2]
         bucket.mkdir(parents=True, exist_ok=True)
-        (bucket / f"{KEY}.json").write_text("\x00\xffnot json")
-        stale = "cd" + "9" * 62
-        (root / stale[:2]).mkdir(exist_ok=True)
-        (root / stale[:2] / f"{stale}.json").write_text(json.dumps(
-            {"key": stale, "schema": CACHE_SCHEMA_VERSION - 1,
-             "payload": {"cycles": 1}}))
-        store = ResultStore(root)
-        assert len(store) == 3
-        assert store.stats.migrated == 3
-        assert store.stats.corrupt == 2
-        assert store.get(KEY) is None
-        assert store.get(stale) is None
-        assert len(LegacyJsonStore(root)) == 0
+        path = bucket / f"{key}.json"
+        path.write_text(json.dumps({"key": key,
+                                    "schema": CACHE_SCHEMA_VERSION,
+                                    "payload": {"round": index}}))
+        paths.append(path)
+    return paths
 
-    def test_migration_can_be_disabled(self, root):
-        self.populate_legacy(root)
-        store = ResultStore(root, migrate_legacy=False)
-        assert len(store) == 0
-        assert len(LegacyJsonStore(root)) == 3
+
+class TestLegacyLayout:
+    LEGACY_KEYS = (KEY, OTHER, THIRD)
+
+    def test_open_ignores_and_keeps_legacy_files(self, root):
+        paths = write_legacy_entries(root, self.LEGACY_KEYS)
+        before = {path: path.read_bytes() for path in paths}
+        with ResultStore(root) as store:
+            assert len(store) == 0
+            assert store.get(KEY) is None
+            assert store.stats.corrupt == 0
+        assert {path: path.read_bytes() for path in paths} == before
+
+    def test_clear_removes_legacy_files_and_buckets(self, root):
+        paths = write_legacy_entries(root, self.LEGACY_KEYS)
+        store = ResultStore(root)
+        store.put(key_n(7), {"live": True})
+        assert store.clear() == 4
+        assert not any(path.exists() for path in paths)
+        assert not any((root / key[:2]).exists()
+                       for key in self.LEGACY_KEYS)
+
+    def test_cache_info_counts_and_cache_clear_removes(self, root,
+                                                       capsys):
+        paths = write_legacy_entries(root, self.LEGACY_KEYS)
+        assert main(["cache", "info", "--cache-dir", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "entries:       0" in out
+        assert "legacy (JSON): 3" in out
+        assert main(["cache", "clear", "--cache-dir", str(root)]) == 0
+        assert "cleared 3 entries" in capsys.readouterr().out
+        assert not any(path.parent.exists() for path in paths)
+        assert main(["cache", "info", "--cache-dir", str(root)]) == 0
+        assert "legacy (JSON): 0" in capsys.readouterr().out
 
 
 def _writer(root, key, rounds):
